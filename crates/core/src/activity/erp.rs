@@ -1,7 +1,5 @@
 //! §III-B Energy Request Control via the Energy Request Percentage.
 
-use serde::{Deserialize, Serialize};
-
 /// The Energy Request Percentage controller.
 ///
 /// The **ERP** (`K ∈ [0, 1]`) is "the maximum allowable percentage of
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `K = 0` reproduces the prior-work behaviour (\[7\]–\[10\]): every sensor
 /// requests the moment it crosses the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErpController {
     k: f64,
 }

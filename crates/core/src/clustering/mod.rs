@@ -7,10 +7,9 @@ pub use balanced::{balanced_clusters, balanced_clusters_with};
 pub use coverage::CoverageMap;
 
 use crate::{ClusterId, SensorId, TargetId};
-use serde::{Deserialize, Serialize};
 
 /// One cluster: the sensors assigned to monitor one target (§II-A).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     /// The monitored target.
     pub target: TargetId,
@@ -21,7 +20,7 @@ pub struct Cluster {
 
 /// The output of cluster formation: disjoint clusters, one per target that
 /// at least one sensor can cover.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterSet {
     clusters: Vec<Cluster>,
 }

@@ -4,15 +4,12 @@
 //! "passed a sensor index where a target index was expected" bug across the
 //! clustering / scheduling / simulation boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {

@@ -1,11 +1,10 @@
 //! The recharge-scheduling problem surface shared by all schedulers.
 
 use crate::{ClusterId, RvId, SensorId};
-use serde::{Deserialize, Serialize};
 use wrsn_geom::Point2;
 
 /// One entry of the base station's recharge node list `R` (§II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RechargeRequest {
     /// The requesting sensor.
     pub sensor: SensorId,
@@ -23,7 +22,7 @@ pub struct RechargeRequest {
 }
 
 /// Scheduling-relevant state of one RV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RvState {
     /// The vehicle.
     pub id: RvId,
@@ -35,7 +34,7 @@ pub struct RvState {
 }
 
 /// Everything a [`crate::scheduling::RechargePolicy`] needs to plan routes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleInput {
     /// The pending recharge node list.
     pub requests: Vec<RechargeRequest>,
@@ -48,7 +47,7 @@ pub struct ScheduleInput {
 }
 
 /// A planned route for one RV: the requests to serve, in visit order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RvRoute {
     /// The vehicle executing the route.
     pub rv: RvId,

@@ -18,7 +18,7 @@ pub trait RechargePolicy {
 }
 
 /// The three schemes the paper evaluates, plus the single-RV Algorithm 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Algorithm 2 baseline.
     Greedy,

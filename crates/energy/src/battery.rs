@@ -8,7 +8,6 @@
 //! curves without modeling cell chemistry.
 
 use crate::units;
-use serde::{Deserialize, Serialize};
 
 /// Charging-rate model: the fraction of the charger's nominal power a
 /// battery accepts as a function of its state of charge.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// nominal power; from there acceptance falls linearly to `min_accept` at
 /// 100 % charge. `ChargeModel::ideal()` disables the taper (constant power),
 /// which is useful in unit tests and ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeModel {
     /// State-of-charge fraction where the taper begins (e.g. 0.9).
     pub taper_start: f64,
@@ -66,7 +65,7 @@ impl Default for ChargeModel {
 /// All mutation goes through [`Battery::draw`] and [`Battery::charge_for`] /
 /// [`Battery::recharge`], which enforce the bounds and report the energy
 /// actually moved, so callers can do exact bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity: f64,
     level: f64,

@@ -1,13 +1,11 @@
 //! Sensing detector energy model (the paper's PIR motion detector [26]).
 
-use serde::{Deserialize, Serialize};
-
 /// Current-draw model of the sensing detector.
 ///
 /// The paper's PIR module draws an average of 10 mA at 3 V while actively
 /// monitoring and 170 µA when idle. A sensor can monitor at most one target
 /// at a time (§II-A), so "active" is a single boolean state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorModel {
     /// Supply voltage (V).
     pub voltage: f64,

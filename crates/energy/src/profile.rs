@@ -1,7 +1,6 @@
 //! Whole-sensor power profile: detector + radio under an activity state.
 
 use crate::{DetectorModel, RadioModel};
-use serde::{Deserialize, Serialize};
 
 /// What a sensor is currently doing, with its packet workload.
 ///
@@ -40,7 +39,7 @@ pub enum SensorActivity {
 }
 
 /// Combined energy profile of one sensor node.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SensorEnergyProfile {
     /// Radio model (default CC2480).
     pub radio: RadioModel,

@@ -1,13 +1,11 @@
 //! Radio energy model (the paper's TI CC2480 [25]).
 
-use serde::{Deserialize, Serialize};
-
 /// Current-draw model of a packet radio.
 ///
 /// The paper's CC2480 enters a `< 5 µA` low-power mode when idle and draws
 /// 27 mA at 3 V while transmitting or receiving; ZigBee's nominal PHY rate
 /// is 250 kbit/s. Per-packet energies follow directly from the time on air.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioModel {
     /// Supply voltage (V).
     pub voltage: f64,

@@ -1,6 +1,5 @@
 //! Recharging-vehicle energy model (§II-A).
 
-use serde::{Deserialize, Serialize};
 use wrsn_geom::Point2;
 
 /// Energy/kinematics model of a recharging vehicle.
@@ -9,7 +8,7 @@ use wrsn_geom::Point2;
 /// `v_r = 1 m/s`, and replenish sensors through a wireless charger whose
 /// nominal transfer power we set so a full sensor recharge takes on the
 /// order of an hour (Panasonic handbook fast-charge regime \[15\]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RvEnergyModel {
     /// Motion energy per meter traveled, `e_m` (J/m). Paper: 5.6.
     pub move_j_per_m: f64,

@@ -15,10 +15,9 @@
 
 use crate::{Field, Point2};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How sensors are placed on the field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deployment {
     /// Uniformly random positions (§II-B, the paper's model).
     UniformRandom,

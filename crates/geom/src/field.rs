@@ -2,11 +2,10 @@
 
 use crate::Point2;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A square sensing field with side length `side` meters and its lower-left
 /// corner at the origin. The base station sits at the field center (§II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Field {
     side: f64,
 }

@@ -1,10 +1,9 @@
 //! 2-D points with the handful of vector operations the simulator needs.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Sub};
 
 /// A point (or displacement) in the 2-D sensing field, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// X coordinate in meters.
     pub x: f64,

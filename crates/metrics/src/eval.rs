@@ -1,7 +1,6 @@
 //! The paper's §V evaluation metrics.
 
 use crate::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates everything the paper's figures report during one simulation
 /// run.
@@ -164,7 +163,7 @@ impl EvalMetrics {
 }
 
 /// Final per-run metrics matching the paper's figure axes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Total RV travel distance (m).
     pub travel_distance_m: f64,

@@ -1,13 +1,11 @@
 //! Time-stamped sample accumulation.
 
-use serde::{Deserialize, Serialize};
-
 /// A time series of `(time, value)` samples with time-weighted averaging.
 ///
 /// The simulator samples slow-moving quantities (coverage ratio, alive
 /// count) on a fixed tick; [`TimeSeries::time_weighted_mean`] integrates the
 /// piecewise-constant signal so irregular sampling still averages correctly.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -1,9 +1,7 @@
 //! Summary statistics over a slice of samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / std-dev / min / max / count of a sample set, e.g. across seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

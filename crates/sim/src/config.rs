@@ -1,12 +1,11 @@
 //! Simulation configuration with the paper's Table II defaults.
 
-use serde::{Deserialize, Serialize};
 use wrsn_core::SchedulerKind;
 use wrsn_energy::{units, ChargeModel, RvEnergyModel, SensorEnergyProfile};
 use wrsn_geom::Deployment;
 
 /// How the monitored targets move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TargetMobility {
     /// The paper's model: a target stays for the *target period*, then
     /// reappears at a uniformly random location.
@@ -24,7 +23,7 @@ pub enum TargetMobility {
 }
 
 /// §III sensor-activity management switches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityConfig {
     /// Round-robin activation (§III-C). `false` = every cluster member
     /// monitors full-time (the prior-work behaviour the paper compares
@@ -80,7 +79,7 @@ impl ActivityConfig {
 /// * **Transient sensor faults** — recoverable outages (reboot, radio
 ///   wedge) that suspend a sensor for a sampled duration without touching
 ///   its battery, exercising the rota-failover and routing-revival paths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Expected breakdowns per RV per day (Poisson). 0 disables.
     pub rv_breakdowns_per_day: f64,
@@ -177,7 +176,7 @@ impl Default for FaultConfig {
 
 /// Full simulation configuration. [`SimConfig::paper_defaults`] matches the
 /// paper's Table II; every knob is public so experiments can sweep it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of sensors `N` (Table II: 500).
     pub num_sensors: usize,
@@ -516,8 +515,6 @@ mod tests {
 
     #[test]
     fn config_is_serializable_and_cloneable() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<SimConfig>();
         let c = SimConfig::small(2.0);
         assert_eq!(c.clone(), c);
         assert_eq!(c.num_sensors, 125);

@@ -1,40 +1,29 @@
 //! Wire codec for the multi-machine sweep fabric (DESIGN.md §4i).
 //!
-//! Both directions of an agent connection carry the same byte discipline
-//! as the run store's event log (`store/log.rs`):
+//! Each direction of an agent connection is one `WRSNFAB1` stream of the
+//! shared [`crate::codec`]: a header once, then checksummed frames, with
+//! the same torn/corrupt damage model as the run store's event log
+//! (DESIGN.md, "Framed codec"). The coordinator opens with an
+//! [`Msg::Assign`] carrying the shard's job slice (configs via the
+//! snapshot codec), the supervision knobs, and the prior shard journal
+//! text for resume; the agent answers [`Msg::Accept`] or [`Msg::Refuse`],
+//! then streams [`Msg::Heartbeat`] leases and complete
+//! [`Msg::JournalLines`] until a final [`Msg::Done`].
 //!
-//! ```text
-//! [ magic "WRSNFAB1" | version u32 ]                      header, once
-//! [ len u32 | payload (len bytes) | fnv1a(payload) u64 ]  frame, repeated
-//! ```
-//!
-//! all little-endian. The coordinator opens with an [`Msg::Assign`]
-//! carrying the shard's job slice (configs via the snapshot codec), the
-//! supervision knobs, and the prior shard journal text for resume; the
-//! agent answers [`Msg::Accept`] or [`Msg::Refuse`], then streams
-//! [`Msg::Heartbeat`] leases and complete [`Msg::JournalLines`] until a
-//! final [`Msg::Done`].
-//!
-//! Decoding mirrors the log's damage model: only header damage is a hard
-//! error (there is nothing to salvage), while anything after it degrades
-//! into [`StreamTail`] — a torn final frame or a checksum/decode failure
-//! never panics and never hides the valid prefix before it. The blocking
-//! [`MsgReader`] used on live sockets funnels through the same
-//! [`step`] parser as the pure [`decode_stream`], so the fuzz suite over
+//! The blocking `MsgReader` used on live sockets funnels through the
+//! same frame parser as the pure [`decode_stream`], so the fuzz suite over
 //! byte buffers covers the socket path too.
 
 use std::io::{Read, Write};
 
 use crate::batch::JobSpec;
-use crate::snapshot::{self, Dec, Enc, SnapshotError};
+use crate::codec::{self, Dec, Enc, SnapshotError, Step, Unframed};
+use crate::snapshot;
 
 /// Magic bytes opening each direction of an agent connection.
 pub const WIRE_MAGIC: [u8; 8] = *b"WRSNFAB1";
 /// Bumped on any incompatible change to the frame payloads.
 pub const WIRE_VERSION: u32 = 1;
-/// Sanity bound: no legitimate frame is gigabytes long, so a corrupt
-/// length prefix cannot make a reader buffer one.
-const MAX_FRAME: usize = 1 << 24;
 
 /// A shard assignment: everything an agent needs to run one shard's job
 /// slice under the same supervision contract as a local worker.
@@ -108,20 +97,7 @@ impl Msg {
     }
 }
 
-fn encode_str(e: &mut Enc, s: &str) {
-    e.len(s.len());
-    e.buf.extend_from_slice(s.as_bytes());
-}
-
-fn decode_str(d: &mut Dec) -> Result<String, SnapshotError> {
-    let n = d.len()?;
-    let bytes = d.take(n)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| SnapshotError::Corrupt("string field is not UTF-8".into()))
-}
-
-fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_msg(e: &mut Enc, msg: &Msg) {
     match msg {
         Msg::Assign(a) => {
             e.u8(0);
@@ -137,11 +113,11 @@ fn encode_msg(msg: &Msg) -> Vec<u8> {
             e.u64(a.abort_after_ms);
             e.len(a.jobs.len());
             for job in &a.jobs {
-                encode_str(&mut e, &job.label);
+                e.str(&job.label);
                 e.u64(job.seed);
-                snapshot::encode_config(&mut e, &job.config);
+                snapshot::encode_config(e, &job.config);
             }
-            encode_str(&mut e, &a.prior_journal);
+            e.str(&a.prior_journal);
         }
         Msg::Accept { shard } => {
             e.u8(1);
@@ -149,7 +125,7 @@ fn encode_msg(msg: &Msg) -> Vec<u8> {
         }
         Msg::Refuse { reason } => {
             e.u8(2);
-            encode_str(&mut e, reason);
+            e.str(reason);
         }
         Msg::Heartbeat { counter } => {
             e.u8(3);
@@ -157,20 +133,19 @@ fn encode_msg(msg: &Msg) -> Vec<u8> {
         }
         Msg::JournalLines { text } => {
             e.u8(4);
-            encode_str(&mut e, text);
+            e.str(text);
         }
         Msg::Done { ok, error } => {
             e.u8(5);
             e.bool(*ok);
-            encode_str(&mut e, error);
+            e.str(error);
         }
     }
-    e.buf
 }
 
 /// Decodes one frame payload. Any failure (bad tag, short payload,
 /// trailing garbage, non-UTF-8 strings) is a decode error the caller
-/// maps onto [`StreamTail::Corrupt`].
+/// maps onto [`codec::Tail::Corrupt`].
 fn decode_msg(payload: &[u8]) -> Result<Msg, SnapshotError> {
     let mut d = Dec::new(payload);
     let msg = match d.u8()? {
@@ -185,17 +160,10 @@ fn decode_msg(payload: &[u8]) -> Result<Msg, SnapshotError> {
             let sim_time_cap_s = d.f64()?;
             let stall = d.bool()?;
             let abort_after_ms = d.u64()?;
-            let n_jobs = d.count()?;
-            // Each job encodes to well over one byte, so a count beyond
-            // the remaining payload is damage — refuse before reserving.
-            if n_jobs > d.remaining() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "job count {n_jobs} exceeds the payload"
-                )));
-            }
+            let n_jobs = d.len()?;
             let mut jobs = Vec::with_capacity(n_jobs);
             for _ in 0..n_jobs {
-                let label = decode_str(&mut d)?;
+                let label = d.str()?;
                 let seed = d.u64()?;
                 let config = snapshot::decode_config(&mut d)?;
                 jobs.push(JobSpec {
@@ -204,7 +172,7 @@ fn decode_msg(payload: &[u8]) -> Result<Msg, SnapshotError> {
                     seed,
                 });
             }
-            let prior_journal = decode_str(&mut d)?;
+            let prior_journal = d.str()?;
             Msg::Assign(Box::new(Assign {
                 shard,
                 attempt,
@@ -221,16 +189,12 @@ fn decode_msg(payload: &[u8]) -> Result<Msg, SnapshotError> {
             }))
         }
         1 => Msg::Accept { shard: d.u64()? },
-        2 => Msg::Refuse {
-            reason: decode_str(&mut d)?,
-        },
+        2 => Msg::Refuse { reason: d.str()? },
         3 => Msg::Heartbeat { counter: d.u64()? },
-        4 => Msg::JournalLines {
-            text: decode_str(&mut d)?,
-        },
+        4 => Msg::JournalLines { text: d.str()? },
         5 => Msg::Done {
             ok: d.bool()?,
-            error: decode_str(&mut d)?,
+            error: d.str()?,
         },
         t => return Err(SnapshotError::Corrupt(format!("bad message tag {t}"))),
     };
@@ -240,118 +204,30 @@ fn decode_msg(payload: &[u8]) -> Result<Msg, SnapshotError> {
 
 /// The per-direction stream header (magic + version).
 pub fn header_bytes() -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&WIRE_MAGIC);
-    buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    buf
+    codec::header(&WIRE_MAGIC, WIRE_VERSION).buf
 }
 
-/// Frames one message: `len | payload | fnv1a(payload)`.
+/// Frames one message exactly as `MsgWriter` sends it.
 pub fn frame(msg: &Msg) -> Vec<u8> {
-    let payload = encode_msg(msg);
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&snapshot::fnv1a(&payload).to_le_bytes());
-    out
-}
-
-/// How a decoded stream ends.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamTail {
-    /// Ends exactly at a frame boundary.
-    Clean,
-    /// Ends mid-frame — the signature of a connection severed mid-write.
-    Torn,
-    /// A frame that is definitely damaged (checksum, length bound, or
-    /// payload decode failure); everything before it remains valid.
-    Corrupt(String),
-}
-
-/// A decoded message stream: the longest valid prefix plus its tail.
-#[derive(Debug)]
-pub struct DecodedStream {
-    pub msgs: Vec<Msg>,
-    /// Byte offset just past each decoded frame.
-    pub ends: Vec<u64>,
-    pub tail: StreamTail,
-}
-
-/// One parser step over `bytes` (no header): either a complete decoded
-/// frame and its size, a request for more bytes, or definite damage.
-enum FrameStep {
-    /// `bytes` holds no complete frame yet (possibly zero bytes).
-    Need,
-    /// A decoded message and the total bytes it consumed.
-    Complete(Msg, usize),
-    Corrupt(String),
-}
-
-fn step(bytes: &[u8]) -> FrameStep {
-    if bytes.len() < 4 {
-        return FrameStep::Need;
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return FrameStep::Corrupt(format!("frame length {len} exceeds the {MAX_FRAME} bound"));
-    }
-    if bytes.len() - 4 < len + 8 {
-        return FrameStep::Need;
-    }
-    let payload = &bytes[4..4 + len];
-    let stored = u64::from_le_bytes(bytes[4 + len..12 + len].try_into().unwrap());
-    if snapshot::fnv1a(payload) != stored {
-        return FrameStep::Corrupt(format!("frame fails its checksum (stored {stored:#018x})"));
-    }
-    match decode_msg(payload) {
-        Ok(msg) => FrameStep::Complete(msg, 12 + len),
-        Err(e) => FrameStep::Corrupt(format!("frame payload: {e}")),
-    }
+    let mut e = Enc::new();
+    codec::frame(&mut e, |e| encode_msg(e, msg));
+    e.buf
 }
 
 /// Decodes a whole direction's bytes into the longest valid prefix.
 ///
-/// Errors only for damage *before the first frame* (short, foreign, or
-/// future-versioned header) — there is no prefix to salvage then.
-/// Everything after the header degrades into [`DecodedStream::tail`].
-pub fn decode_stream(bytes: &[u8]) -> Result<DecodedStream, SnapshotError> {
-    if bytes.len() < WIRE_MAGIC.len() + 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..WIRE_MAGIC.len()] != WIRE_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != WIRE_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-
-    let mut msgs = Vec::new();
-    let mut ends = Vec::new();
-    let mut pos = 12usize;
-    let tail = loop {
-        if pos == bytes.len() {
-            break StreamTail::Clean;
-        }
-        match step(&bytes[pos..]) {
-            FrameStep::Need => break StreamTail::Torn,
-            FrameStep::Complete(msg, used) => {
-                pos += used;
-                msgs.push(msg);
-                ends.push(pos as u64);
-            }
-            FrameStep::Corrupt(why) => {
-                break StreamTail::Corrupt(format!("frame at offset {pos}: {why}"))
-            }
-        }
-    };
-    Ok(DecodedStream { msgs, ends, tail })
+/// Errors only for damage to the header (short, foreign, or
+/// future-versioned) — there is no prefix to salvage then. Everything
+/// after it degrades into [`Unframed::tail`].
+pub fn decode_stream(bytes: &[u8]) -> Result<Unframed<Msg>, SnapshotError> {
+    codec::unframe(bytes, &WIRE_MAGIC, WIRE_VERSION, decode_msg)
 }
 
-/// Blocking frame reader for live sockets, built on the same [`step`]
-/// parser as [`decode_stream`]. `Ok(None)` means a clean EOF at a frame
-/// boundary; any torn/corrupt/IO condition is an `Err` with a reason —
-/// the caller maps it onto the dead-shard path, never a panic.
+/// Blocking frame reader for live sockets, built on the same
+/// [`codec::step`] parser as [`decode_stream`]. `Ok(None)` means a clean
+/// EOF at a frame boundary; any torn/corrupt/IO condition is an `Err`
+/// with a reason — the caller maps it onto the dead-shard path, never a
+/// panic.
 pub(crate) struct MsgReader<R: Read> {
     inner: R,
     buf: Vec<u8>,
@@ -386,30 +262,32 @@ impl<R: Read> MsgReader<R> {
 
     pub(crate) fn next_msg(&mut self) -> Result<Option<Msg>, String> {
         loop {
+            let have = &self.buf[self.pos..];
             if !self.saw_header {
-                if self.buf.len() - self.pos >= 12 {
-                    let head = &self.buf[self.pos..self.pos + 12];
-                    if head[..8] != WIRE_MAGIC {
-                        return Err("peer did not send the fabric header".into());
+                if have.len() >= codec::HEADER_LEN {
+                    match codec::check_header(have, &WIRE_MAGIC, WIRE_VERSION) {
+                        Err(SnapshotError::UnsupportedVersion(v)) => {
+                            return Err(format!(
+                                "peer speaks fabric protocol v{v}, expected v{WIRE_VERSION}"
+                            ))
+                        }
+                        Err(_) => return Err("peer did not send the fabric header".into()),
+                        Ok(()) => {}
                     }
-                    let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-                    if version != WIRE_VERSION {
-                        return Err(format!(
-                            "peer speaks fabric protocol v{version}, expected v{WIRE_VERSION}"
-                        ));
-                    }
-                    self.pos += 12;
+                    self.pos += codec::HEADER_LEN;
                     self.saw_header = true;
                     continue;
                 }
             } else {
-                match step(&self.buf[self.pos..]) {
-                    FrameStep::Complete(msg, used) => {
+                match codec::step(have) {
+                    Step::Frame(payload, used) => {
+                        let msg = decode_msg(payload)
+                            .map_err(|e| format!("corrupt frame: frame payload: {e}"))?;
                         self.pos += used;
                         return Ok(Some(msg));
                     }
-                    FrameStep::Corrupt(why) => return Err(format!("corrupt frame: {why}")),
-                    FrameStep::Need => {}
+                    Step::Corrupt(why) => return Err(format!("corrupt frame: {why}")),
+                    Step::Need => {}
                 }
             }
             if self.fill()? == 0 {
@@ -423,28 +301,29 @@ impl<R: Read> MsgReader<R> {
     }
 }
 
-/// Frame writer for live sockets: sends the header exactly once before
+/// Frame writer for live sockets: sends the header exactly once, with
 /// the first frame, then one checksummed frame per message, flushing
 /// each so heartbeats are never sat on by a buffer.
 pub(crate) struct MsgWriter<W: Write> {
     inner: W,
-    sent_header: bool,
+    /// Bytes not yet written: the header until the first send, then empty
+    /// between sends.
+    buf: Enc,
 }
 
 impl<W: Write> MsgWriter<W> {
     pub(crate) fn new(inner: W) -> Self {
         Self {
             inner,
-            sent_header: false,
+            buf: codec::header(&WIRE_MAGIC, WIRE_VERSION),
         }
     }
 
     pub(crate) fn send(&mut self, msg: &Msg) -> std::io::Result<()> {
-        if !self.sent_header {
-            self.inner.write_all(&header_bytes())?;
-            self.sent_header = true;
-        }
-        self.inner.write_all(&frame(msg))?;
+        codec::frame(&mut self.buf, |e| encode_msg(e, msg));
+        let sent = self.inner.write_all(&self.buf.buf);
+        self.buf.buf.clear();
+        sent?;
         self.inner.flush()
     }
 }
@@ -513,12 +392,12 @@ mod tests {
         let msgs = all_msgs();
         let bytes = stream_of(&msgs);
         let decoded = decode_stream(&bytes).expect("decode");
-        assert_eq!(decoded.tail, StreamTail::Clean);
-        assert_eq!(decoded.msgs.len(), msgs.len());
-        for (got, want) in decoded.msgs.iter().zip(&msgs) {
+        assert_eq!(decoded.tail, codec::Tail::Clean);
+        assert_eq!(decoded.records.len(), msgs.len());
+        for (got, want) in decoded.records.iter().zip(&msgs) {
             assert_eq!(got.kind(), want.kind());
-            // Re-encoding must reproduce the exact payload bytes.
-            assert_eq!(encode_msg(got), encode_msg(want));
+            // Re-encoding must reproduce the exact frame bytes.
+            assert_eq!(frame(got), frame(want));
         }
     }
 
@@ -526,7 +405,7 @@ mod tests {
     fn assign_preserves_jobs_and_grid_hash() {
         let bytes = stream_of(&[sample_assign()]);
         let decoded = decode_stream(&bytes).expect("decode");
-        let Msg::Assign(a) = &decoded.msgs[0] else {
+        let Msg::Assign(a) = &decoded.records[0] else {
             panic!("expected assign");
         };
         assert_eq!(a.jobs.len(), 3);

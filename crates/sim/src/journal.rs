@@ -23,9 +23,10 @@
 //!
 //! The records are flat single-line JSON with only string and unsigned
 //! integer values (u64 bit patterns for floats), written and parsed by
-//! this module alone — no serde, std only.
+//! this module alone, std only.
 
 use crate::batch::JobSpec;
+use crate::codec::Fnv;
 use crate::SimOutcome;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -112,20 +113,14 @@ impl From<std::io::Error> for JournalError {
 /// included) means a resumed sweep indexes jobs identically to the
 /// original.
 pub fn grid_hash(jobs: &[JobSpec]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
     for job in jobs {
-        eat(job.label.as_bytes());
-        eat(&[0]);
-        eat(&job.seed.to_le_bytes());
-        eat(&job.config.content_hash().to_le_bytes());
+        h.write(job.label.as_bytes());
+        h.write(&[0]);
+        h.write(&job.seed.to_le_bytes());
+        h.write(&job.config.content_hash().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// An append-only, crash-safe run journal. Shared by reference across the

@@ -4,8 +4,8 @@
 //!
 //! # Format
 //!
-//! A snapshot is a flat little-endian binary blob (std-only; the vendored
-//! `serde` is a no-op marker crate, so the codec is hand-rolled):
+//! A snapshot is a flat little-endian binary blob, written with the
+//! primitives and header of the shared [`crate::codec`]:
 //!
 //! ```text
 //! [ MAGIC "WRSNSNAP" | VERSION u32 | config_hash u64 ]   header
@@ -29,10 +29,13 @@
 //! The continuation guarantee — run to tick `T`, snapshot, resume, run to
 //! `T+N` produces bit-identical traces, metrics and ledgers to an
 //! uninterrupted run to `T+N` — is pinned by
-//! `crates/sim/tests/snapshot_roundtrip.rs` in both debug and release
+//! `crates/sim/tests/snapshot_properties.rs` in both debug and release
 //! profiles. Versioning is strict: a snapshot written by a different
 //! `VERSION` is rejected, never reinterpreted.
 
+pub use crate::codec::SnapshotError;
+
+use crate::codec::{self, fnv1a, Dec, Enc, Result};
 use crate::engine::{self, RoutingDirty, SensorSoA, WorldState};
 use crate::{
     FaultConfig, RequestBoard, RvAgent, RvPhase, SimConfig, TargetMobility, Trace, TraceEvent,
@@ -54,89 +57,9 @@ pub const MAGIC: [u8; 8] = *b"WRSNSNAP";
 /// versions are rejected, not migrated.
 pub const VERSION: u32 = 1;
 
-/// Why a snapshot could not be decoded.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// The blob ended before the expected data did.
-    Truncated,
-    /// The leading bytes are not [`MAGIC`] — not a snapshot at all.
-    BadMagic,
-    /// The snapshot was written by an incompatible format version.
-    UnsupportedVersion(
-        /// The version found in the header.
-        u32,
-    ),
-    /// Structurally invalid content (bad enum tag, inconsistent lengths,
-    /// header hash that doesn't match the embedded config, …).
-    Corrupt(String),
-    /// Filesystem error from the path-based helpers.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Truncated => write!(f, "snapshot is truncated"),
-            SnapshotError::BadMagic => write!(f, "not a WRSN snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (this build reads {VERSION})"
-                )
-            }
-            SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-type Result<T> = std::result::Result<T, SnapshotError>;
-
-// --- Primitive encoder ---------------------------------------------------
-
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
-}
+// --- Snapshot-only encoder helpers -------------------------------------
 
 impl Enc {
-    pub(crate) fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(4096),
-        }
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
     fn point(&mut self, p: Point2) {
         self.f64(p.x);
         self.f64(p.y);
@@ -188,74 +111,9 @@ impl Enc {
     }
 }
 
-// --- Primitive decoder ---------------------------------------------------
+// --- Snapshot-only decoder helpers -------------------------------------
 
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A length prefix — additionally bounded by the remaining bytes (every
-    /// element costs at least one byte), so a corrupt length can never
-    /// trigger an absurd allocation.
-    pub(crate) fn len(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        let v = usize::try_from(v).map_err(|_| SnapshotError::Truncated)?;
-        if v > self.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(v)
-    }
-
-    /// A plain count — a value that does *not* prefix that many encoded
-    /// elements (a trace cap, a dispatch's stop count), so it may
-    /// legitimately exceed the remaining bytes.
-    pub(crate) fn count(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Truncated)
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
-        }
-    }
-
+impl Dec<'_> {
     fn point(&mut self) -> Result<Point2> {
         Ok(Point2::new(self.f64()?, self.f64()?))
     }
@@ -290,16 +148,6 @@ impl<'a> Dec<'a> {
             1 => Ok(Some(self.u32()?)),
             b => Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
         }
-    }
-
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the snapshot payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -502,16 +350,6 @@ pub(crate) fn decode_config(d: &mut Dec) -> Result<SimConfig> {
         sample_every_s: d.f64()?,
         duration_days: d.f64()?,
     })
-}
-
-/// FNV-1a 64-bit over `bytes`.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Stable content hash of a full configuration: FNV-1a 64 over the
@@ -772,9 +610,7 @@ fn decode_series(d: &mut Dec) -> Result<TimeSeries> {
 /// Serializes the full mutable world state (derived state is re-derived on
 /// decode; see the module docs).
 pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
+    let mut e = codec::header(&MAGIC, VERSION);
     e.u64(config_hash(&state.cfg));
     encode_config(&mut e, &state.cfg);
 
@@ -915,14 +751,8 @@ pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
 /// Decodes a snapshot back into a world state, rebuilding derived state
 /// (geometry, comm graph, ERP controller, scheduler, coverage cache).
 pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
-    let mut d = Dec::new(bytes);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    codec::check_header(bytes, &MAGIC, VERSION)?;
+    let mut d = Dec::new(&bytes[codec::HEADER_LEN..]);
     let stored_hash = d.u64()?;
     let cfg = decode_config(&mut d)?;
     let actual_hash = config_hash(&cfg);

@@ -12,7 +12,8 @@
 
 use super::log::{LogRecord, LogWriter, LOG_FILE};
 use super::StoreError;
-use crate::snapshot::{self, config_hash};
+use crate::codec;
+use crate::snapshot::config_hash;
 use crate::{SimConfig, World};
 use std::path::{Path, PathBuf};
 
@@ -282,7 +283,7 @@ impl RunRecorder {
         self.log.push(&LogRecord::Snap {
             tick: self.tick,
             bytes: blob.len() as u64,
-            hash: snapshot::fnv1a(&blob),
+            hash: codec::fnv1a(&blob),
         });
         self.last_snap_tick = self.tick;
         Ok(())
@@ -293,7 +294,7 @@ impl RunRecorder {
 /// length + FNV-1a hash.
 pub(super) fn verify_snap(dir: &Path, tick: u64, bytes: u64, hash: u64) -> bool {
     match std::fs::read(dir.join(snap_file_name(tick))) {
-        Ok(blob) => blob.len() as u64 == bytes && snapshot::fnv1a(&blob) == hash,
+        Ok(blob) => blob.len() as u64 == bytes && codec::fnv1a(&blob) == hash,
         Err(_) => false,
     }
 }

@@ -12,7 +12,9 @@
 //! * `c-run3` (label empty → dir name): sample cov 0.99 (10);
 //!   event depleted (30).
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempDir;
 use wrsn_core::{RvId, SensorId};
 use wrsn_sim::store::{EventKind, LogRecord, LogWriter, Predicate, RunStore, LOG_FILE};
 use wrsn_sim::TraceEvent;
@@ -69,9 +71,9 @@ fn write_run(root: &std::path::Path, dir: &str, records: &[LogRecord]) {
     w.flush().expect("flush");
 }
 
-fn corpus() -> PathBuf {
-    let root = std::env::temp_dir().join(format!("wrsn-store-query-{}", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
+/// Writes the corpus into a temp dir private to the calling test.
+fn corpus(test: &str) -> TempDir {
+    let root = TempDir::new(&format!("store-query-{test}"));
     write_run(
         &root,
         "a-run1",
@@ -111,8 +113,8 @@ fn corpus() -> PathBuf {
 
 #[test]
 fn coverage_threshold_scan_returns_exactly_the_dipping_samples() {
-    let root = corpus();
-    let store = RunStore::open(&root).expect("open");
+    let root = corpus("coverage_threshold_scan_returns_exactly_the_dipping_samples");
+    let store = RunStore::open(&*root).expect("open");
     assert_eq!(store.runs().len(), 3);
 
     let hits = store.scan(&Predicate::CoverageBelow(0.9));
@@ -126,13 +128,12 @@ fn coverage_threshold_scan_returns_exactly_the_dipping_samples() {
     // A threshold below every sample matches nothing; above, everything.
     assert!(store.scan(&Predicate::CoverageBelow(0.5)).is_empty());
     assert_eq!(store.scan(&Predicate::CoverageBelow(1.0)).len(), 4);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn alive_threshold_and_event_kind_scans() {
-    let root = corpus();
-    let store = RunStore::open(&root).expect("open");
+    let root = corpus("alive_threshold_and_event_kind_scans");
+    let store = RunStore::open(&*root).expect("open");
 
     let hits = store.scan(&Predicate::AliveBelow(30.0));
     assert_eq!(hits.len(), 1, "only run2 drops below 30 alive");
@@ -156,13 +157,12 @@ fn alive_threshold_and_event_kind_scans() {
     let first_two = store.select(&Predicate::Event(EventKind::Depleted), 2);
     assert_eq!(first_two.len(), 2);
     assert_eq!(first_two[1].tick, 150);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn within_join_is_inclusive_and_per_run() {
-    let root = corpus();
-    let store = RunStore::open(&root).expect("open");
+    let root = corpus("within_join_is_inclusive_and_per_run");
+    let store = RunStore::open(&*root).expect("open");
     let within = |ticks| {
         store.scan(&Predicate::Within {
             needle: EventKind::RvBroke,
@@ -200,13 +200,12 @@ fn within_join_is_inclusive_and_per_run() {
     });
     let got: Vec<(&str, u64)> = rev.iter().map(|h| (h.run.as_str(), h.tick)).collect();
     assert_eq!(got, vec![("run1", 150), ("run2", 205)]);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn run_lookup_and_metadata_round_trip() {
-    let root = corpus();
-    let store = RunStore::open(&root).expect("open");
+    let root = corpus("run_lookup_and_metadata_round_trip");
+    let store = RunStore::open(&*root).expect("open");
     let run = store.run("run2").expect("by label");
     assert_eq!(run.seed(), 1);
     assert_eq!(run.end_tick(), Some(300));
@@ -215,5 +214,4 @@ fn run_lookup_and_metadata_round_trip() {
     assert_eq!(run.samples().len(), 1);
     assert!(store.run("c-run3").is_some(), "dir-name fallback resolves");
     assert!(store.run("nope").is_none());
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -17,6 +17,7 @@
 //! coverage/alive values against their brute-force oracles at the end of
 //! every pinned run.
 
+use wrsn_sim::codec::fnv1a;
 use wrsn_sim::{ActivityConfig, FaultConfig, SimConfig, World};
 
 fn tiny(days: f64) -> SimConfig {
@@ -152,17 +153,6 @@ fn teleport_heavy_run_matches_coverage_cache_introduction_baseline() {
             alive: 60,
         },
     );
-}
-
-/// FNV-1a 64 over a byte slice — used to pin whole artifacts (snapshot
-/// blobs) as a single literal.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The 10k-sensor long-horizon config behind the large-scale pin: the
